@@ -10,6 +10,13 @@
 //                over the in-memory ledger. Check: every proof verifies
 //                against the root, and none verifies under a flipped
 //                leaf.
+//   proof_scale  prove() per second on a ledger of 100 segments and on
+//                one of 6400 (segment_capacity=16, both with an open
+//                segment), each compacted down to its newest 64 segments
+//                and proving entries among them, as a retention policy
+//                would. Check: the large ledger's rate is at least half
+//                the small one's — computing a proof is O(log N), not
+//                O(segments).
 //   catch_up     wall time for a replica that missed W replicated writes
 //                (its .apply endpoint dark the whole run) to pull the
 //                backlog segment-by-segment from a peer. Check: the
@@ -19,6 +26,7 @@
 // Usage: bench_ledger_replication [--appends N] [--durable-appends N]
 //                                 [--writes W] [--json <path>]
 //                                 [--metrics <path>]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -169,6 +177,64 @@ int run(int argc, char** argv) {
     }
   }
 
+  // ---- proof cost vs ledger size -----------------------------------------
+  bench::print_header("proof rate vs segment count (segment_capacity=16)");
+  constexpr std::size_t kScaleCapacity = 16;
+  constexpr std::size_t kSmallSegments = 100;
+  constexpr std::size_t kSegmentRatio = 64;
+  constexpr std::uint64_t kRetained = 64 * kScaleCapacity;
+  const auto prove_rate = [&](std::size_t segments) {
+    ledger::Ledger::Config config;
+    config.segment_capacity = kScaleCapacity;
+    ledger::Ledger led(config);
+    // Sealed segments plus a half-full open one.
+    const std::size_t count =
+        (segments - 1) * kScaleCapacity + kScaleCapacity / 2;
+    fill(led, count);
+    led.compact_before(count - kRetained);
+    (void)led.root_hash();
+    // Best of five rounds of ~0.1 s each: a slow stretch of a shared host
+    // can only lower a round, not the best one.
+    double best = 0.0;
+    std::uint64_t pick = 0;
+    std::size_t missing = 0;
+    for (int round = 0; round < 5; ++round) {
+      std::size_t proved = 0;
+      const double round_start = now_s();
+      double elapsed = 0.0;
+      while (elapsed < 0.1) {
+        for (int i = 0; i < 64; ++i) {
+          pick = (pick + 7919) % kRetained;  // strides over the retained
+          if (led.prove(count - kRetained + pick)) {
+            ++proved;
+          } else {
+            ++missing;
+          }
+        }
+        elapsed = now_s() - round_start;
+      }
+      best = std::max(best, static_cast<double>(proved) / elapsed);
+    }
+    if (missing > 0) {
+      std::printf("  FAIL: %zu retained entries had no proof\n", missing);
+      ok = false;
+    }
+    std::printf("  %zu segments (%zu entries): %.0f prove/sec\n", segments,
+                count, best);
+    return best;
+  };
+  const std::size_t large_segments = kSmallSegments * kSegmentRatio;
+  const double small_prove_ps = prove_rate(kSmallSegments);
+  const double large_prove_ps = prove_rate(large_segments);
+  const double prove_scale = large_prove_ps / small_prove_ps;
+  std::printf("  %zux segments -> %.2fx the prove rate\n", kSegmentRatio,
+              prove_scale);
+  if (prove_scale < 0.5) {
+    std::printf("  FAIL: prove rate fell below half with %zux segments\n",
+                kSegmentRatio);
+    ok = false;
+  }
+
   // ---- replication catch-up ----------------------------------------------
   bench::print_header("replication catch-up");
   net::MessageBus bus;
@@ -231,6 +297,14 @@ int run(int argc, char** argv) {
                  "appends_per_sec", durable_aps);
     writer.write("ledger_replication", cfg, "proofs_per_sec", prove_ps);
     writer.write("ledger_replication", cfg, "proof_verify_per_sec", verify_ps);
+    writer.write("ledger_replication",
+                 std::to_string(kSmallSegments) + "segments",
+                 "proofs_per_sec", small_prove_ps);
+    writer.write("ledger_replication",
+                 std::to_string(large_segments) + "segments",
+                 "proofs_per_sec", large_prove_ps);
+    writer.write("ledger_replication", "proof_scale", "large_over_small_rate",
+                 prove_scale);
     writer.write("ledger_replication",
                  std::to_string(opt.writes) + "writes", "catchup_seconds",
                  catchup_elapsed);

@@ -106,17 +106,22 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Sha256::Digest Sha256::finalize() {
+  // Pad in place: 0x80, zeros up to the last 8 bytes of a block (spilling
+  // into a second block when fewer than 8 are left), big-endian bit length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 8) update({&zero, 1});
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>((bit_len >> (56 - 8 * i)) & 0xFF);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  update({len_be, 8});
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 8 + i] =
+        static_cast<std::uint8_t>((bit_len >> (56 - 8 * i)) & 0xFF);
+  }
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -48,12 +48,13 @@ std::optional<LedgerEntry> LedgerEntry::parse(
   return entry;
 }
 
-Digest LedgerEntry::leaf_hash() const {
+Digest LedgerEntry::leaf_hash() const { return entry_leaf_hash(canonical()); }
+
+Digest entry_leaf_hash(std::span<const std::uint8_t> canonical) {
   crypto::Sha256 h;
   const std::uint8_t tag = 0x00;
   h.update({&tag, 1});
-  const crypto::Bytes enc = canonical();
-  h.update(enc);
+  h.update(canonical);
   return h.finalize();
 }
 

@@ -57,6 +57,10 @@ struct LedgerEntry {
   Digest leaf_hash() const;
 };
 
+/// SHA-256(0x00 || canonical): the leaf hash of an entry whose canonical()
+/// bytes are already at hand (an append, a segment record being read).
+Digest entry_leaf_hash(std::span<const std::uint8_t> canonical);
+
 /// SHA-256(0x01 || prev || leaf): the running chain commitment.
 Digest chain_link(const Digest& prev, const Digest& leaf);
 

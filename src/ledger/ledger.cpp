@@ -117,8 +117,6 @@ void Ledger::recover() {
     if (rec.first_seq != count_ || rec.entries == 0) break;  // non-contiguous: stop
     Segment seg;
     seg.first_seq = rec.first_seq;
-    seg.prev_chain = chain_;
-    seg.root = rec.root;
     seg.end_chain = rec.end_chain;
     seg.entry_count = rec.entries;
     seg.sealed = true;
@@ -128,14 +126,11 @@ void Ledger::recover() {
       // Content is *not* re-verified here — audit_segments() does that and
       // names the segment if the file was tampered with.
       SegmentReadResult read = read_segment(path);
-      seg.entries = std::move(read.entries);
-      seg.leaves.reserve(seg.entries.size());
-      for (const LedgerEntry& entry : seg.entries) {
-        seg.leaves.push_back(entry.leaf_hash());
-      }
-    } else {
-      seg.compacted = true;
+      seg.payload = std::make_unique<Segment::Payload>();
+      seg.payload->entries = std::move(read.entries);
+      for (const Digest& leaf : read.leaves) seg.payload->tree.push_back(leaf);
     }
+    sealed_roots_.push_back(rec.root);
     chain_ = rec.end_chain;
     count_ = rec.first_seq + rec.entries;
     segments_.push_back(std::move(seg));
@@ -155,15 +150,15 @@ void Ledger::recover() {
     }
     Segment seg;
     seg.first_seq = count_;
-    seg.prev_chain = chain_;
+    seg.payload = std::make_unique<Segment::Payload>();
     std::uint64_t valid_bytes = read.valid_bytes;
     std::size_t accepted = 0;
     for (LedgerEntry& entry : read.entries) {
       if (entry.seq != count_ || accepted >= config_.segment_capacity) break;
-      const Digest leaf = entry.leaf_hash();
-      seg.leaves.push_back(leaf);
+      const Digest& leaf = read.leaves[accepted];
+      seg.payload->tree.push_back(leaf);
       chain_ = chain_link(chain_, leaf);
-      seg.entries.push_back(std::move(entry));
+      seg.payload->entries.push_back(std::move(entry));
       ++count_;
       ++accepted;
     }
@@ -171,7 +166,7 @@ void Ledger::recover() {
       // Out-of-order tail (or overfull file): recompute the clean prefix
       // length so the truncation below drops the bad records too.
       valid_bytes = 4 + 8 + crypto::Sha256::kDigestSize;
-      for (const LedgerEntry& entry : seg.entries) {
+      for (const LedgerEntry& entry : seg.payload->entries) {
         valid_bytes += 8 + entry.canonical_size();
       }
       recovered_tail_ += read.entries.size() - accepted;
@@ -189,12 +184,13 @@ void Ledger::recover() {
     if (full) {
       // Crash hit between the last append and the manifest write: the
       // segment is complete, so finish the seal it was owed.
-      seg.root = merkle_root(seg.leaves);
+      const Digest root = seg.payload->tree.root();
       seg.end_chain = chain_;
       seg.sealed = true;
       if (torn) std::filesystem::resize_file(path, valid_bytes);
+      sealed_roots_.push_back(root);
       segments_.push_back(std::move(seg));
-      append_manifest(segments_.back());
+      append_manifest(segments_.back(), root);
       continue;  // the next file, if any, starts at the new count_
     }
     // Partially filled: this is the open segment; truncate any torn tail
@@ -217,7 +213,7 @@ std::uint64_t Ledger::append(EntryKind kind, double time,
   if (segments_.empty() || segments_.back().sealed) {
     Segment seg;
     seg.first_seq = count_;
-    seg.prev_chain = chain_;
+    seg.payload = std::make_unique<Segment::Payload>();
     segments_.push_back(std::move(seg));
     if (!config_.directory.empty()) {
       SegmentHeader header{count_, chain_};
@@ -232,26 +228,27 @@ std::uint64_t Ledger::append(EntryKind kind, double time,
   entry.payload.assign(payload.begin(), payload.end());
   const crypto::Bytes canonical = entry.canonical();
   if (writer_ != nullptr) writer_->append(canonical);
-  const Digest leaf = entry.leaf_hash();
-  seg.leaves.push_back(leaf);
-  seg.entries.push_back(std::move(entry));
-  seg.entry_count = seg.entries.size();
+  const Digest leaf = entry_leaf_hash(canonical);
+  seg.payload->tree.push_back(leaf);
+  seg.payload->entries.push_back(std::move(entry));
+  seg.entry_count = seg.payload->entries.size();
   chain_ = chain_link(chain_, leaf);
   const std::uint64_t seq = count_++;
   root_dirty_ = true;
   appends_->increment();
   bytes_appended_->add(canonical.size());
-  if (seg.entries.size() >= config_.segment_capacity) seal_open_segment();
+  if (seg.entry_count >= config_.segment_capacity) seal_open_segment();
   return seq;
 }
 
 void Ledger::seal_open_segment() {
   Segment& seg = segments_.back();
-  seg.root = merkle_root(seg.leaves);
+  const Digest root = seg.payload->tree.root();
   seg.end_chain = chain_;
   seg.sealed = true;
+  sealed_roots_.push_back(root);
   writer_.reset();
-  if (!config_.directory.empty()) append_manifest(seg);
+  if (!config_.directory.empty()) append_manifest(seg, root);
   seals_->increment();
   if (config_.recorder != nullptr) {
     config_.recorder->record(obs::TraceKind::kLedgerSeal, 0.0,
@@ -259,12 +256,12 @@ void Ledger::seal_open_segment() {
   }
 }
 
-void Ledger::append_manifest(const Segment& segment) {
+void Ledger::append_manifest(const Segment& segment, const Digest& root) {
   crypto::Bytes payload;
   payload.reserve(kManifestPayload);
   put_u64(payload, segment.first_seq);
   put_u64(payload, segment.entry_count);
-  payload.insert(payload.end(), segment.root.begin(), segment.root.end());
+  payload.insert(payload.end(), root.begin(), root.end());
   payload.insert(payload.end(), segment.end_chain.begin(),
                  segment.end_chain.end());
   crypto::Bytes frame;
@@ -291,13 +288,19 @@ Digest Ledger::chain_tip() const {
   return chain_;
 }
 
-std::vector<Digest> Ledger::top_leaves() const {
-  std::vector<Digest> leaves;
-  leaves.reserve(segments_.size());
-  for (const Segment& seg : segments_) {
-    leaves.push_back(seg.sealed ? seg.root : merkle_root(seg.leaves));
-  }
-  return leaves;
+const Ledger::Segment* Ledger::find_segment(std::uint64_t seq) const {
+  // Segments are contiguous and ordered by first_seq.
+  const auto after = std::upper_bound(
+      segments_.begin(), segments_.end(), seq,
+      [](std::uint64_t s, const Segment& seg) { return s < seg.first_seq; });
+  if (after == segments_.begin()) return nullptr;
+  const Segment& seg = *std::prev(after);
+  return seq < seg.first_seq + seg.entry_count ? &seg : nullptr;
+}
+
+std::optional<Digest> Ledger::open_root() const {
+  if (segments_.empty() || segments_.back().sealed) return std::nullopt;
+  return segments_.back().payload->tree.root();
 }
 
 Digest Ledger::bind_root(const Digest& core, const Digest& chain,
@@ -314,8 +317,7 @@ Digest Ledger::bind_root(const Digest& core, const Digest& chain,
 }
 
 Digest Ledger::compute_root() const {
-  const std::vector<Digest> leaves = top_leaves();
-  return bind_root(merkle_root(leaves), chain_, count_);
+  return bind_root(sealed_roots_.root(open_root()), chain_, count_);
 }
 
 Digest Ledger::root_hash() const {
@@ -340,59 +342,55 @@ std::optional<Ledger::SegmentInfo> Ledger::segment_info(
   SegmentInfo info;
   info.first_seq = seg.first_seq;
   info.entries = seg.entry_count;
-  info.root = seg.sealed ? seg.root : merkle_root(seg.leaves);
+  info.root =
+      seg.sealed ? sealed_roots_.leaf(index) : seg.payload->tree.root();
   info.end_chain = seg.sealed ? seg.end_chain : chain_;
   info.sealed = seg.sealed;
-  info.compacted = seg.compacted;
+  info.compacted = seg.payload == nullptr;
   return info;
 }
 
 Digest Ledger::segment_range_hash(std::size_t lo, std::size_t hi) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::vector<Digest> leaves = top_leaves();
-  if (lo >= hi || hi > leaves.size()) return kZeroDigest;
-  return merkle_range(leaves, lo, hi);
+  return sealed_roots_.range(lo, hi, open_root());
 }
 
 crypto::Bytes Ledger::encode_segment(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (index >= segments_.size()) return {};
   const Segment& seg = segments_[index];
-  if (seg.compacted) return {};
-  SegmentHeader header{seg.first_seq, seg.prev_chain};
-  return ledger::encode_segment(header, seg.entries);
+  if (seg.payload == nullptr) return {};
+  // Segments are contiguous from seq 0: each starts where the last ended.
+  const Digest prev_chain =
+      index == 0 ? kZeroDigest : segments_[index - 1].end_chain;
+  SegmentHeader header{seg.first_seq, prev_chain};
+  return ledger::encode_segment(header, seg.payload->entries);
 }
 
 std::optional<LedgerEntry> Ledger::entry(std::uint64_t seq) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Segment& seg : segments_) {
-    if (seq < seg.first_seq || seq >= seg.first_seq + seg.entry_count) continue;
-    if (seg.compacted) return std::nullopt;
-    return seg.entries[static_cast<std::size_t>(seq - seg.first_seq)];
-  }
-  return std::nullopt;
+  const Segment* seg = find_segment(seq);
+  if (seg == nullptr || seg->payload == nullptr) return std::nullopt;
+  return seg->payload->entries[static_cast<std::size_t>(seq - seg->first_seq)];
 }
 
 std::optional<Ledger::InclusionProof> Ledger::prove(std::uint64_t seq) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment& seg = segments_[i];
-    if (seq < seg.first_seq || seq >= seg.first_seq + seg.entry_count) continue;
-    if (seg.compacted) return std::nullopt;
-    InclusionProof proof;
-    proof.seq = seq;
-    proof.entry_index = static_cast<std::size_t>(seq - seg.first_seq);
-    proof.segment_entries = seg.leaves.size();
-    proof.entry_path = merkle_path(seg.leaves, proof.entry_index);
-    const std::vector<Digest> top = top_leaves();
-    proof.segment_index = i;
-    proof.segment_count = top.size();
-    proof.segment_path = merkle_path(top, i);
-    proof.chain_tip = chain_;
-    proof.total_entries = count_;
-    return proof;
-  }
-  return std::nullopt;
+  const Segment* seg = find_segment(seq);
+  if (seg == nullptr || seg->payload == nullptr) return std::nullopt;
+  MerkleCache& tree = seg->payload->tree;
+  InclusionProof proof;
+  proof.seq = seq;
+  proof.entry_index = static_cast<std::size_t>(seq - seg->first_seq);
+  proof.segment_entries = tree.size();
+  proof.entry_path = tree.path(proof.entry_index);
+  const std::optional<Digest> open = open_root();
+  proof.segment_index = static_cast<std::size_t>(seg - segments_.data());
+  proof.segment_count = sealed_roots_.size() + (open ? 1 : 0);
+  proof.segment_path = sealed_roots_.path(proof.segment_index, open);
+  proof.chain_tip = chain_;
+  proof.total_entries = count_;
+  return proof;
 }
 
 bool Ledger::verify_inclusion(const Digest& root, const Digest& leaf,
@@ -415,7 +413,7 @@ Ledger::AuditReport Ledger::audit_segments() const {
   Digest chain = kZeroDigest;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = segments_[i];
-    if (seg.compacted) {
+    if (seg.payload == nullptr) {
       // Payload gone by design; the manifest root still splices the chain.
       chain = seg.end_chain;
       continue;
@@ -437,7 +435,7 @@ Ledger::AuditReport Ledger::audit_segments() const {
       }
       entries = std::move(read.entries);
     } else {
-      entries = seg.entries;
+      entries = seg.payload->entries;
     }
     if (entries.size() != seg.entry_count) {
       report.first_divergent = i;
@@ -457,7 +455,9 @@ Ledger::AuditReport Ledger::audit_segments() const {
       chain = chain_link(chain, leaf);
     }
     const Digest recomputed = merkle_root(leaves);
-    const Digest expected = seg.sealed ? seg.root : merkle_root(seg.leaves);
+    const Digest expected =
+        seg.sealed ? sealed_roots_.leaf(i)
+                   : merkle_root(seg.payload->tree.leaves());
     if (recomputed != expected ||
         (seg.sealed && chain != seg.end_chain)) {
       report.first_divergent = i;
@@ -471,21 +471,20 @@ Ledger::AuditReport Ledger::audit_segments() const {
 std::size_t Ledger::compact_before(std::uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t compacted = 0;
-  for (Segment& seg : segments_) {
-    if (!seg.sealed || seg.compacted) continue;
-    if (seg.first_seq + seg.entry_count > seq) break;
+  std::size_t i = compact_cursor_;
+  for (; i < segments_.size(); ++i) {
+    Segment& seg = segments_[i];
+    if (!seg.sealed || seg.first_seq + seg.entry_count > seq) break;
+    if (seg.payload == nullptr) continue;
     if (!config_.directory.empty()) {
       std::error_code ec;
       std::filesystem::remove(segment_path(seg.first_seq), ec);
     }
-    seg.entries.clear();
-    seg.entries.shrink_to_fit();
-    seg.leaves.clear();
-    seg.leaves.shrink_to_fit();
-    seg.compacted = true;
+    seg.payload.reset();
     ++compacted;
     compactions_->increment();
   }
+  compact_cursor_ = i;
   return compacted;
 }
 

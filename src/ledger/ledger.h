@@ -11,7 +11,10 @@
 //   root     H(0x03 || MTH(segment roots ++ open-segment root) ||
 //            chain_tip || entry_count) — one 32-byte value that pins the
 //            entire history. Reading it is O(1) (cached; invalidated by
-//            append), recomputing it is O(segments + open entries).
+//            append). Each segment and the top tree over sealed roots
+//            keep a MerkleCache of their complete subtrees, so
+//            recomputing the root after an append, an inclusion proof
+//            and a segment range hash each cost O(log N) node hashes.
 //
 // Durability (optional, directory-backed): every append is a CRC-framed
 // record flushed to the current segment file; recovery truncates a torn
@@ -106,7 +109,8 @@ class Ledger {
 
   /// O(log N)-sized membership proof for a retained entry: the audit
   /// path inside its segment, the segment root's path in the top tree,
-  /// and the chain/count binding of the root.
+  /// and the chain/count binding of the root. Computing it is O(log N)
+  /// too: a binary search for the segment, then cached subtree hashes.
   struct InclusionProof {
     std::uint64_t seq = 0;
     std::size_t entry_index = 0;       ///< within the segment
@@ -150,37 +154,48 @@ class Ledger {
   const Config& config() const { return config_; }
 
  private:
+  /// One per segment, compacted ones included, so kept small: a ledger
+  /// that compacts as it grows holds millions of entries in these.
   struct Segment {
     std::uint64_t first_seq = 0;
-    Digest prev_chain = kZeroDigest;
-    std::vector<LedgerEntry> entries;  ///< cleared when compacted
-    std::vector<Digest> leaves;        ///< cleared when compacted
-    Digest root = kZeroDigest;         ///< valid once sealed
-    Digest end_chain = kZeroDigest;    ///< valid once sealed
     std::uint64_t entry_count = 0;     ///< survives compaction
+    Digest end_chain = kZeroDigest;    ///< valid once sealed
     bool sealed = false;
-    bool compacted = false;
+    struct Payload {
+      std::vector<LedgerEntry> entries;
+      /// Leaf hashes and their complete subtrees; readers extend it
+      /// too, under mu_.
+      MerkleCache tree;
+    };
+    std::unique_ptr<Payload> payload;  ///< null once compacted
   };
 
   std::filesystem::path segment_path(std::uint64_t first_seq) const;
   std::filesystem::path manifest_path() const;
   void recover();
-  void seal_open_segment();          // caller holds mu_
-  void append_manifest(const Segment& segment);  // caller holds mu_
-  std::vector<Digest> top_leaves() const;        // caller holds mu_
-  Digest compute_root() const;                   // caller holds mu_
+  // Callers hold mu_ from here to compute_root().
+  void seal_open_segment();
+  void append_manifest(const Segment& segment, const Digest& root);
+  const Segment* find_segment(std::uint64_t seq) const;
+  std::optional<Digest> open_root() const;
+  Digest compute_root() const;
   static Digest bind_root(const Digest& core, const Digest& chain,
                           std::uint64_t count);
 
   Config config_;
   mutable std::mutex mu_;
-  std::vector<Segment> segments_;  ///< last one open unless sealed/empty
+  std::vector<Segment> segments_;  ///< sealed prefix, then the open one
+  /// One root per sealed segment, in order, with the top tree's complete
+  /// subtrees over them; the open segment's root joins as its tail.
+  mutable MerkleCache sealed_roots_;
   std::uint64_t count_ = 0;
   Digest chain_ = kZeroDigest;
   std::unique_ptr<SegmentWriter> writer_;  ///< open segment file (durable)
   mutable bool root_dirty_ = true;
   mutable Digest root_cache_ = kZeroDigest;
   std::uint64_t recovered_tail_ = 0;
+  /// Every segment before this index is compacted.
+  std::size_t compact_cursor_ = 0;
 
   obs::Counter* appends_;
   obs::Counter* bytes_appended_;

@@ -1,15 +1,13 @@
 #include "ledger/merkle.h"
 
+#include <bit>
+
 namespace alidrone::ledger {
 
 namespace {
 
 /// Largest power of two strictly below n (n >= 2) — the RFC 6962 split.
-std::size_t split_point(std::size_t n) {
-  std::size_t k = 1;
-  while (k * 2 < n) k *= 2;
-  return k;
-}
+std::size_t split_point(std::size_t n) { return std::bit_floor(n - 1); }
 
 }  // namespace
 
@@ -94,6 +92,86 @@ Digest merkle_fold(const Digest& leaf, std::size_t index, std::size_t count,
   return acc;
 }
 
+void MerkleCache::push_back(const Digest& leaf) {
+  if (levels_.empty()) levels_.emplace_back();
+  levels_[0].push_back(leaf);
+}
+
+void MerkleCache::extend() {
+  if (levels_.empty()) return;
+  for (std::size_t h = 0; levels_[h].size() >= 2; ++h) {
+    if (levels_.size() == h + 1) levels_.emplace_back();
+    const std::vector<Digest>& below = levels_[h];
+    std::vector<Digest>& above = levels_[h + 1];
+    while (above.size() < below.size() / 2) {
+      const std::size_t i = above.size();
+      above.push_back(merkle_node(below[2 * i], below[2 * i + 1]));
+    }
+  }
+}
+
+Digest MerkleCache::subtree(std::size_t lo, std::size_t hi,
+                            const std::optional<Digest>& tail) {
+  const std::size_t n = hi - lo;
+  if (n == 1) return lo < size() ? levels_[0][lo] : *tail;
+  if (std::has_single_bit(n) && lo % n == 0 && hi <= size()) {
+    return levels_[static_cast<std::size_t>(std::countr_zero(n))][lo / n];
+  }
+  const bool on_spine = hi == size() + (tail ? 1 : 0);
+  if (on_spine) {
+    if (spine_count_ != hi || spine_tail_ != tail) {
+      spine_.clear();
+      spine_count_ = hi;
+      spine_tail_ = tail;
+    }
+    for (const auto& [start, hash] : spine_) {
+      if (start == lo) return hash;
+    }
+  }
+  const std::size_t k = split_point(n);
+  const Digest node =
+      merkle_node(subtree(lo, lo + k, tail), subtree(lo + k, hi, tail));
+  if (on_spine) spine_.emplace_back(lo, node);
+  return node;
+}
+
+void MerkleCache::path_into(std::size_t lo, std::size_t hi, std::size_t index,
+                            const std::optional<Digest>& tail,
+                            std::vector<Digest>& out) {
+  const std::size_t n = hi - lo;
+  if (n <= 1) return;
+  const std::size_t k = split_point(n);
+  if (index < lo + k) {
+    path_into(lo, lo + k, index, tail, out);
+    out.push_back(subtree(lo + k, hi, tail));
+  } else {
+    path_into(lo + k, hi, index, tail, out);
+    out.push_back(subtree(lo, lo + k, tail));
+  }
+}
+
+Digest MerkleCache::range(std::size_t lo, std::size_t hi,
+                          const std::optional<Digest>& tail) {
+  if (lo >= hi || hi > size() + (tail ? 1 : 0)) return kZeroDigest;
+  extend();
+  return subtree(lo, hi, tail);
+}
+
+Digest MerkleCache::root(const std::optional<Digest>& tail) {
+  return range(0, size() + (tail ? 1 : 0), tail);
+}
+
+std::vector<Digest> MerkleCache::path(std::size_t index,
+                                      const std::optional<Digest>& tail) {
+  std::vector<Digest> out;
+  const std::size_t n = size() + (tail ? 1 : 0);
+  if (index < n) {
+    extend();
+    path_into(0, n, index, tail, out);
+  }
+  return out;
+}
+
 std::optional<std::size_t> first_divergent_leaf(std::size_t count_a,
                                                 const RangeProbe& probe_a,
                                                 std::size_t count_b,
@@ -118,11 +196,7 @@ std::optional<std::size_t> first_divergent_leaf(std::size_t count_a,
   std::size_t lo = 0;
   std::size_t hi = n;
   while (hi - lo > 1) {
-    const std::size_t k = [&] {
-      std::size_t p = 1;
-      while (p * 2 < hi - lo) p *= 2;
-      return p;
-    }();
+    const std::size_t k = split_point(hi - lo);
     const auto left = differs(lo, lo + k);
     if (!left) return std::nullopt;
     if (*left) {

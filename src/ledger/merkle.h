@@ -57,6 +57,59 @@ inline bool merkle_verify(const Digest& root, const Digest& leaf,
 Digest merkle_range(std::span<const Digest> leaves, std::size_t lo,
                     std::size_t hi);
 
+/// Append-only cache of an RFC 6962 tree's complete subtrees: level h
+/// holds the hash of every full, aligned leaf block [i·2^h, (i+1)·2^h).
+/// Every root, path and range the recursion above builds decomposes into
+/// such blocks plus at most one partial suffix per level, so with the
+/// cache warm root() and path() hash O(log n) nodes and range() does too
+/// whenever `lo` is aligned to the blocks it spans (every range the
+/// divergence descent asks for is). The partial suffixes that end at the
+/// last leaf (the tree's right spine) are memoized until the next
+/// push_back or a different tail, so after one root() a path() hashes
+/// nothing. Results equal merkle_root / merkle_path / merkle_range byte
+/// for byte.
+///
+/// push_back() does no hashing; the readers first extend the cache over
+/// leaves pushed since the last read (amortized one node per leaf), which
+/// is why they are non-const. Not thread-safe: the owner serializes.
+///
+/// `tail` is an optional extra leaf after the cached ones that is still
+/// changing (the ledger's open segment root): it takes part in the tree
+/// without being cached.
+class MerkleCache {
+ public:
+  void push_back(const Digest& leaf);
+  std::size_t size() const { return levels_.empty() ? 0 : levels_[0].size(); }
+  const Digest& leaf(std::size_t index) const { return levels_[0][index]; }
+  std::span<const Digest> leaves() const {
+    return levels_.empty() ? std::span<const Digest>() : levels_[0];
+  }
+
+  /// merkle_root over leaves() ++ tail.
+  Digest root(const std::optional<Digest>& tail = std::nullopt);
+  /// merkle_path over leaves() ++ tail.
+  std::vector<Digest> path(std::size_t index,
+                           const std::optional<Digest>& tail = std::nullopt);
+  /// merkle_range over leaves() ++ tail.
+  Digest range(std::size_t lo, std::size_t hi,
+               const std::optional<Digest>& tail = std::nullopt);
+
+ private:
+  void extend();
+  Digest subtree(std::size_t lo, std::size_t hi,
+                 const std::optional<Digest>& tail);
+  void path_into(std::size_t lo, std::size_t hi, std::size_t index,
+                 const std::optional<Digest>& tail, std::vector<Digest>& out);
+
+  std::vector<std::vector<Digest>> levels_;  ///< [0] = leaves
+  /// Right-spine memo: (lo, hash of [lo, spine_count_)) for the partial
+  /// suffixes computed at spine_count_ leaves (tail included) and
+  /// spine_tail_.
+  std::vector<std::pair<std::size_t, Digest>> spine_;
+  std::size_t spine_count_ = 0;
+  std::optional<Digest> spine_tail_;
+};
+
 /// Answers merkle_range queries for one party during divergence descent.
 /// Returns nullopt when the range cannot be served (peer unreachable) —
 /// the descent aborts without a verdict.

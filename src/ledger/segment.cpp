@@ -52,9 +52,11 @@ crypto::Bytes record_bytes(std::span<const std::uint8_t> payload) {
 
 /// Parse records out of `data` starting at `pos`; shared by the file and
 /// wire paths. Returns the offset after the last whole, CRC-clean record.
+/// `leaves`, when given, receives each accepted record's leaf hash.
 std::uint64_t scan_records(std::span<const std::uint8_t> data, std::size_t pos,
                            std::vector<LedgerEntry>& entries,
-                           std::size_t* bad_records) {
+                           std::size_t* bad_records,
+                           std::vector<Digest>* leaves = nullptr) {
   while (pos + 8 <= data.size()) {
     const std::uint32_t len = get_u32(data.data() + pos);
     const std::uint32_t crc = get_u32(data.data() + pos + 4);
@@ -64,6 +66,7 @@ std::uint64_t scan_records(std::span<const std::uint8_t> data, std::size_t pos,
     auto entry = LedgerEntry::parse(payload);
     if (!entry) break;  // CRC-clean but undecodable: treat as corrupt
     entries.push_back(std::move(*entry));
+    if (leaves != nullptr) leaves->push_back(entry_leaf_hash(payload));
     pos += 8 + len;
   }
   if (bad_records != nullptr && pos < data.size()) *bad_records = 1;
@@ -120,8 +123,8 @@ SegmentReadResult read_segment(const std::filesystem::path& path) {
   result.header.first_seq = get_u64(data.data() + 4);
   std::memcpy(result.header.prev_chain.data(), data.data() + 12,
               result.header.prev_chain.size());
-  result.valid_bytes =
-      scan_records(data, kHeaderBytes, result.entries, &result.dropped_records);
+  result.valid_bytes = scan_records(data, kHeaderBytes, result.entries,
+                                    &result.dropped_records, &result.leaves);
   result.dropped_bytes = data.size() - result.valid_bytes;
   return result;
 }

@@ -57,6 +57,8 @@ struct SegmentReadResult {
   bool header_ok = false;
   SegmentHeader header;
   std::vector<LedgerEntry> entries;  ///< decoded, in file order
+  /// entry_leaf_hash() of each entry, hashed from its record bytes.
+  std::vector<Digest> leaves;
   /// Bytes of the file that parsed cleanly (header + whole records).
   /// Anything past this offset was torn or CRC-corrupt.
   std::uint64_t valid_bytes = 0;

@@ -2,13 +2,20 @@
 // encoding, Merkle tree/path/range algebra, chain and root determinism,
 // inclusion proofs across segment boundaries, crash recovery (torn-tail
 // truncation of the open segment), tamper detection with exact segment
-// localization, and compaction keeping the root fixed.
+// localization, compaction keeping the root fixed, and the subtree
+// caches behind roots and proofs against the recursive reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ledger/crc32.h"
@@ -95,6 +102,7 @@ TEST(LedgerEntryTest, CanonicalRoundTrip) {
   EXPECT_EQ(decoded->time, entry.time);
   EXPECT_EQ(decoded->payload, entry.payload);
   EXPECT_EQ(decoded->leaf_hash(), entry.leaf_hash());
+  EXPECT_EQ(entry_leaf_hash(encoded), entry.leaf_hash());
 }
 
 TEST(LedgerEntryTest, ParseIsStrict) {
@@ -199,6 +207,95 @@ TEST(MerkleTest, FirstDivergentLeafFindsTheExactIndex) {
       first_divergent_leaf(a.size(), probe(a), prefix.size(), probe(prefix));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, prefix.size());
+}
+
+// ---- Subtree cache vs the recursive reference ----
+
+std::vector<Digest> numbered_leaves(std::size_t count) {
+  std::vector<Digest> leaves;
+  for (std::size_t i = 0; i < count; ++i) {
+    leaves.push_back(crypto::Sha256::hash("c-" + std::to_string(i)));
+  }
+  return leaves;
+}
+
+/// Counts whose every path is compared byte for byte with merkle_path.
+/// That reference costs O(n) hashes per path, so it runs on all small
+/// counts and on 128 and 256 ±1 (256 is the ledger's default segment
+/// capacity). Every other count folds each index's path up to the
+/// reference root instead.
+bool byte_compare_count(std::size_t n) {
+  return n <= 64 || (n >= 127 && n <= 129) || (n >= 255 && n <= 257);
+}
+
+TEST(MerkleCacheTest, MatchesReferenceAtEveryCount) {
+  const std::vector<Digest> all = numbered_leaves(600);
+  const Digest tail = crypto::Sha256::hash("open-segment-root");
+  MerkleCache grown;  // extended a little after every push
+  for (std::size_t n = 0; n <= 600; ++n) {
+    if (n > 0) grown.push_back(all[n - 1]);
+    const std::span<const Digest> leaves(all.data(), n);
+    std::vector<Digest> with_tail(leaves.begin(), leaves.end());
+    with_tail.push_back(tail);
+    const Digest root = merkle_root(leaves);
+    const Digest tail_root = merkle_root(with_tail);
+    ASSERT_EQ(grown.size(), n);
+    ASSERT_EQ(grown.root(), root) << "n=" << n;
+    ASSERT_EQ(grown.root(tail), tail_root) << "n=" << n;
+
+    // Every index's path; with the uncached tail leaf, every index up to
+    // 64 leaves and a spread of indices beyond.
+    const bool compare = byte_compare_count(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::vector<Digest> path = grown.path(j);
+      if (compare) {
+        ASSERT_EQ(path, merkle_path(leaves, j)) << n << "/" << j;
+      } else {
+        ASSERT_EQ(merkle_fold(all[j], j, n, path), root) << n << "/" << j;
+      }
+    }
+    if (n <= 64) {
+      for (std::size_t j = 0; j <= n; ++j) {
+        ASSERT_EQ(grown.path(j, tail), merkle_path(with_tail, j))
+            << n << "/" << j << " + tail";
+      }
+    } else {
+      const std::size_t k = std::bit_floor(n);  // RFC 6962 split of n + 1
+      for (const std::size_t j : {std::size_t{0}, std::size_t{1}, k - 1, k,
+                                  k + 1, n / 2, n - 2, n - 1, n}) {
+        if (j > n) continue;  // k + 1 when n + 1 is a power of two plus one
+        ASSERT_EQ(merkle_fold(with_tail[j], j, n + 1, grown.path(j, tail)),
+                  tail_root)
+            << n << "/" << j << " + tail";
+      }
+    }
+    EXPECT_TRUE(grown.path(n).empty());
+    EXPECT_TRUE(grown.path(n + 1, tail).empty());
+
+    // Every [lo, hi) range for small counts, unaligned ones and
+    // out-of-range ones included.
+    if (n <= 40) {
+      for (std::size_t lo = 0; lo <= n + 1; ++lo) {
+        for (std::size_t hi = 0; hi <= n + 2; ++hi) {
+          ASSERT_EQ(grown.range(lo, hi), merkle_range(leaves, lo, hi))
+              << n << " [" << lo << "," << hi << ")";
+          ASSERT_EQ(grown.range(lo, hi, tail), merkle_range(with_tail, lo, hi))
+              << n << " [" << lo << "," << hi << ") + tail";
+        }
+      }
+    }
+  }
+
+  // A cache filled in one go, extended only at its first read.
+  MerkleCache bulk;
+  for (const Digest& leaf : all) bulk.push_back(leaf);
+  EXPECT_EQ(bulk.path(300), merkle_path(all, 300));
+  EXPECT_EQ(bulk.root(), merkle_root(all));
+
+  MerkleCache empty;
+  EXPECT_EQ(empty.root(), kZeroDigest);
+  EXPECT_EQ(empty.root(tail), tail);
+  EXPECT_TRUE(empty.path(0).empty());
 }
 
 // ---- In-memory ledger ----
@@ -401,6 +498,173 @@ TEST_F(LedgerDirTest, SegmentWireFramesRoundTrip) {
   torn.resize(torn.size() - 3);
   EXPECT_FALSE(decode_segment(torn).has_value());
   EXPECT_TRUE(ledger.encode_segment(99).empty());
+}
+
+/// The RFC 6962 top root binding, rebuilt outside the ledger.
+Digest reference_ledger_root(std::span<const Digest> segment_roots,
+                             const Digest& chain, std::uint64_t count) {
+  crypto::Sha256 h;
+  const std::uint8_t tag = 0x03;
+  h.update({&tag, 1});
+  h.update(merkle_root(segment_roots));
+  h.update(chain);
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(count >> (8 * i));
+  h.update(le);
+  return h.finalize();
+}
+
+TEST_F(LedgerDirTest, CachedRootsAndProofsMatchReferenceEverywhere) {
+  // Capacity 5 keeps segments off powers of two. The stream crosses
+  // seals, two compactions and two durable reopens; after every append
+  // every cached answer equals a reference rebuilt anew with the
+  // recursive merkle_* functions over independently hashed leaves.
+  constexpr std::size_t kCapacity = 5;
+  constexpr std::size_t kEntries = 63;
+  auto ledger = std::make_unique<Ledger>(durable_config(kCapacity));
+  std::vector<Digest> leaves;  // every leaf ever appended
+  Digest chain = kZeroDigest;
+  std::uint64_t retained_from = 0;
+
+  const auto check = [&](const Ledger& led) {
+    const std::size_t count = leaves.size();
+    const std::size_t segments = (count + kCapacity - 1) / kCapacity;
+    ASSERT_EQ(led.entry_count(), count);
+    ASSERT_EQ(led.segment_count(), segments);
+    std::vector<Digest> seg_roots;
+    for (std::size_t s = 0; s < segments; ++s) {
+      const std::size_t lo = s * kCapacity;
+      const std::size_t hi = std::min(count, lo + kCapacity);
+      const auto info = led.segment_info(s);
+      ASSERT_TRUE(info.has_value());
+      EXPECT_EQ(info->first_seq, lo);
+      EXPECT_EQ(info->entries, hi - lo);
+      EXPECT_EQ(info->sealed, hi - lo == kCapacity);
+      EXPECT_EQ(info->compacted, hi <= retained_from);
+      ASSERT_EQ(info->root, merkle_root({leaves.data() + lo, hi - lo}))
+          << "segment " << s << " at count " << count;
+      seg_roots.push_back(info->root);
+    }
+    EXPECT_FALSE(led.segment_info(segments).has_value());
+    const Digest root = reference_ledger_root(seg_roots, chain, count);
+    ASSERT_EQ(led.root_hash(), root) << "count " << count;
+
+    for (std::size_t lo = 0; lo <= segments; ++lo) {
+      for (std::size_t hi = lo; hi <= segments + 1; ++hi) {
+        ASSERT_EQ(led.segment_range_hash(lo, hi),
+                  merkle_range(seg_roots, lo, hi))
+            << "[" << lo << "," << hi << ") at count " << count;
+      }
+    }
+
+    for (std::uint64_t seq = 0; seq < count; ++seq) {
+      const auto proof = led.prove(seq);
+      if (seq < retained_from) {
+        EXPECT_FALSE(proof.has_value()) << "compacted seq " << seq;
+        EXPECT_FALSE(led.entry(seq).has_value());
+        continue;
+      }
+      ASSERT_TRUE(proof.has_value()) << "seq " << seq;
+      const std::size_t s = seq / kCapacity;
+      const std::size_t lo = s * kCapacity;
+      const std::span<const Digest> seg_leaves(
+          leaves.data() + lo, std::min(count, lo + kCapacity) - lo);
+      EXPECT_EQ(proof->seq, seq);
+      EXPECT_EQ(proof->entry_index, seq - lo);
+      EXPECT_EQ(proof->segment_entries, seg_leaves.size());
+      ASSERT_EQ(proof->entry_path, merkle_path(seg_leaves, seq - lo));
+      EXPECT_EQ(proof->segment_index, s);
+      EXPECT_EQ(proof->segment_count, segments);
+      ASSERT_EQ(proof->segment_path, merkle_path(seg_roots, s));
+      EXPECT_EQ(proof->chain_tip, chain);
+      EXPECT_EQ(proof->total_entries, count);
+      EXPECT_EQ(led.entry(seq)->leaf_hash(), leaves[seq]);
+      EXPECT_TRUE(Ledger::verify_inclusion(root, leaves[seq], *proof));
+    }
+    EXPECT_FALSE(led.prove(count).has_value());
+  };
+
+  check(*ledger);  // empty
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    fill(*ledger, 1, i);
+    const std::string payload = "event-" + std::to_string(i) + "|detail";
+    LedgerEntry entry;
+    entry.seq = i;
+    entry.kind = EntryKind::kAuditEvent;
+    entry.time = kT0 + static_cast<double>(i);
+    entry.payload = payload_bytes(payload);
+    leaves.push_back(entry.leaf_hash());
+    chain = chain_link(chain, leaves.back());
+    ASSERT_NO_FATAL_FAILURE(check(*ledger)) << "after append " << i;
+
+    if (i == 17) {  // segments [0,5) [5,10) go; [10,15) straddles 13
+      EXPECT_EQ(ledger->compact_before(13), 2u);
+      retained_from = 10;
+      EXPECT_EQ(ledger->compact_before(13), 0u);  // nothing left below 13
+      ASSERT_NO_FATAL_FAILURE(check(*ledger));
+    }
+    if (i == 29 || i == 47) {  // reopen: one right after a seal, one mid-segment
+      ledger.reset();
+      if (i == 29) {
+        // Crash between the last append and its manifest record: drop
+        // that record (8-byte frame + 80-byte payload) so recovery seals
+        // the full segment file itself.
+        const auto manifest = dir_ / "manifest.bin";
+        std::filesystem::resize_file(
+            manifest, std::filesystem::file_size(manifest) - 88);
+      }
+      ledger = std::make_unique<Ledger>(durable_config(kCapacity));
+      ASSERT_NO_FATAL_FAILURE(check(*ledger)) << "after reopen at " << i;
+    }
+    if (i == 40) {  // after reopen the cursor restarts past the compacted prefix
+      EXPECT_EQ(ledger->compact_before(33), 4u);
+      retained_from = 30;
+      ASSERT_NO_FATAL_FAILURE(check(*ledger));
+    }
+  }
+  EXPECT_FALSE(ledger->audit_segments().first_divergent.has_value());
+}
+
+TEST(LedgerTest, ConcurrentReadersShareTheCaches) {
+  // Readers extend the subtree caches from const methods under the
+  // ledger mutex while a writer appends, seals and compacts; the sanitizer
+  // builds (ledger label) check those mutations are serialized.
+  Ledger::Config config;
+  config.segment_capacity = 8;
+  Ledger ledger(config);
+  Ledger shadow(config);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> proofs{0};
+  const auto reader = [&] {
+    while (!done.load()) {
+      (void)ledger.root_hash();
+      const std::uint64_t count = ledger.entry_count();
+      if (count == 0) continue;
+      if (const auto proof = ledger.prove(count - 1)) {
+        EXPECT_EQ(proof->seq, count - 1);
+        proofs.fetch_add(1);
+      }
+      const std::size_t segments = ledger.segment_count();
+      (void)ledger.segment_range_hash(0, segments);
+      (void)ledger.segment_info(segments - 1);
+      std::this_thread::yield();
+    }
+  };
+  std::thread r1(reader), r2(reader);
+  for (std::size_t i = 0; i < 600; ++i) {
+    fill(ledger, 1, i);
+    if (i % 64 == 63) ledger.compact_before(i - 32);
+    std::this_thread::yield();
+  }
+  while (proofs.load() == 0) std::this_thread::yield();
+  done.store(true);
+  r1.join();
+  r2.join();
+  fill(shadow, 600);
+  EXPECT_EQ(ledger.root_hash(), shadow.root_hash());
+  EXPECT_EQ(ledger.segment_range_hash(0, ledger.segment_count()),
+            shadow.segment_range_hash(0, shadow.segment_count()));
+  EXPECT_GT(proofs.load(), 0u);
 }
 
 TEST_F(LedgerDirTest, CompactedSegmentSurvivesReopen) {

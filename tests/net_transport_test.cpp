@@ -70,12 +70,20 @@ crypto::Bytes bytes_of(std::string_view text) {
 
 // ---- 1. Contract over real sockets -------------------------------------
 
+// The parameter is the test's name, so it must not vary between runs: a
+// "uds:<tag>" parameter gets its per-process socket path only here.
+std::string listen_address(const std::string& param) {
+  const std::string uds = "uds:";
+  if (param.rfind(uds, 0) == 0) return unique_uds(param.substr(uds.size()));
+  return param;
+}
+
 class TransportContractTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TransportContractTest, EchoUnknownEndpointAndHandlerErrors) {
   obs::MetricsRegistry registry;
   TransportServer::Config config;
-  config.listen = {GetParam()};
+  config.listen = {listen_address(GetParam())};
   config.workers = 2;
   config.registry = &registry;
   TransportServer server(std::move(config));
@@ -123,7 +131,7 @@ TEST_P(TransportContractTest, EchoUnknownEndpointAndHandlerErrors) {
 
 INSTANTIATE_TEST_SUITE_P(UdsAndTcp, TransportContractTest,
                          ::testing::Values(std::string("tcp:127.0.0.1:0"),
-                                           unique_uds("contract")));
+                                           std::string("uds:contract")));
 
 TEST(TransportTest, ConnectionTraceAndCountersTrack) {
   obs::MetricsRegistry registry;
