@@ -1,8 +1,6 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <map>
-#include <string_view>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -210,25 +208,10 @@ void AuditorIngest::process_batch(std::vector<Item>& batch) {
   const auto evaluate = [&](std::size_t i) {
     if (parsed[i]) evaluations[i] = auditor_.evaluate_poa(views_[i]);
   };
-  if (verify_pool_ != nullptr && n > 1) {
-    // Fan out by drone, not by index: all PoAs of one drone share one TEE
-    // modulus, so keeping them on a single worker keeps that modulus's
-    // MontgomeryContext (and the batch verifier's working set) hot in
-    // cache instead of bouncing it between cores. Groups are built in
-    // first-appearance order and results land by index, so the schedule
-    // cannot change any evaluation or verdict.
-    std::vector<std::vector<std::size_t>> groups;
-    std::map<std::string_view, std::size_t> group_of;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!parsed[i]) continue;  // evaluate() is a no-op for these
-      const auto [it, fresh] =
-          group_of.try_emplace(views_[i].drone_id, groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-    runtime::parallel_for(*verify_pool_, 0, groups.size(), [&](std::size_t g) {
-      for (const std::size_t i : groups[g]) evaluate(i);
-    });
+  if (verify_pool_ != nullptr) {
+    // Results land by index, so the schedule cannot change any
+    // evaluation or verdict.
+    runtime::parallel_for(*verify_pool_, 0, n, evaluate);
   } else {
     for (std::size_t i = 0; i < n; ++i) evaluate(i);
   }

@@ -2,9 +2,9 @@
 //
 // Every routine operates on raw little-endian uint64_t limb spans with
 // caller-provided storage, so the verify hot path (MontgomeryContext,
-// RsaVerifyEngine, BatchRsaVerifier) runs entirely on stack or
-// preallocated buffers — zero heap allocations per operation, guarded by
-// the counting-operator-new check in bench_verify_throughput. Products
+// RsaVerifyEngine) runs entirely on stack or preallocated buffers — zero
+// heap allocations per operation, guarded by the counting-operator-new
+// check in bench_verify_throughput. Products
 // use 128-bit intermediates; the Montgomery product is the CIOS form of
 // REDC (Koc, Acar, Kaliski, "Analyzing and Comparing Montgomery
 // Multiplication Algorithms", 1996), which interleaves multiplication
@@ -30,29 +30,12 @@ using Wide = unsigned __int128;
 inline constexpr std::size_t kMaxProtocolLimbs = 64;
 inline constexpr std::size_t kMaxProtocolBytes = 8 * kMaxProtocolLimbs;
 
-/// Limb count with trailing zeros stripped.
-inline std::size_t normalized_size(const Limb* a, std::size_t n) {
-  while (n > 0 && a[n - 1] == 0) --n;
-  return n;
-}
-
 /// Fixed-width compare of two n-limb values: -1, 0 or +1.
 inline int cmp_n(const Limb* a, const Limb* b, std::size_t n) {
   for (std::size_t i = n; i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
   }
   return 0;
-}
-
-/// out = a + b over n limbs; returns the carry-out. out may alias a or b.
-inline Limb add_n(Limb* out, const Limb* a, const Limb* b, std::size_t n) {
-  Limb carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Wide sum = static_cast<Wide>(a[i]) + b[i] + carry;
-    out[i] = static_cast<Limb>(sum);
-    carry = static_cast<Limb>(sum >> 64);
-  }
-  return carry;
 }
 
 /// out = a - b over n limbs; returns the borrow-out. out may alias a or b.
@@ -64,24 +47,6 @@ inline Limb sub_n(Limb* out, const Limb* a, const Limb* b, std::size_t n) {
     borrow = static_cast<Limb>((diff >> 64) & 1);
   }
   return borrow;
-}
-
-/// out[0 .. na+nb) = a * b — schoolbook with 128-bit products. Row i
-/// writes out[i + nb] exactly once, so the final carry is an assignment.
-/// out must not alias a or b.
-inline void mul(Limb* out, const Limb* a, std::size_t na, const Limb* b,
-                std::size_t nb) {
-  for (std::size_t i = 0; i < na + nb; ++i) out[i] = 0;
-  for (std::size_t i = 0; i < na; ++i) {
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = 0; j < nb; ++j) {
-      const Wide cur = static_cast<Wide>(ai) * b[j] + out[i + j] + carry;
-      out[i + j] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> 64);
-    }
-    out[i + nb] = carry;
-  }
 }
 
 /// -m^-1 mod 2^64 for odd m. Newton-Hensel lifting: the seed is correct

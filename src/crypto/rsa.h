@@ -15,6 +15,7 @@
 
 #include "crypto/bigint.h"
 #include "crypto/bytes.h"
+#include "crypto/limb64.h"
 #include "crypto/montgomery.h"
 #include "crypto/random.h"
 
@@ -188,6 +189,48 @@ class RsaSigningPlan {
   std::uint64_t private_ops_ = 0;
   std::uint64_t blinding_refreshes_ = 0;
   std::uint64_t crt_fault_fallbacks_ = 0;
+};
+
+/// Per-key RSASSA-PKCS1-v1_5 verifier — the Auditor's per-sample hot
+/// path, and what rsa_verify runs for every key it supports. verify()
+/// works entirely on fixed member limb buffers over the limb64 CIOS
+/// kernels: zero heap allocations per call (guarded by the
+/// counting-operator-new check in bench_verify_throughput). Immutable key
+/// data is shared through the MontgomeryContextCache; the member buffers
+/// make verify() NOT thread-safe — use one engine per thread (they are
+/// cheap: a few KB).
+class RsaVerifyEngine {
+ public:
+  /// True when the key fits the fixed-capacity engine: odd modulus of
+  /// 128..4096 bits and a public exponent of 1..64 bits. Keys outside
+  /// this range (never produced by generate_rsa_keypair) verify through
+  /// the generic BigInt path.
+  static bool supports(const RsaPublicKey& key);
+
+  /// Requires supports(key); throws std::invalid_argument otherwise.
+  explicit RsaVerifyEngine(const RsaPublicKey& key);
+
+  /// Strict verification, byte-identical to rsa_verify for this key.
+  bool verify(std::span<const std::uint8_t> message,
+              std::span<const std::uint8_t> signature, HashAlgorithm hash);
+
+  std::size_t modulus_bytes() const { return mod_bytes_; }
+  const MontgomeryContext& context() const { return *ctx_; }
+
+ private:
+  std::shared_ptr<const MontgomeryContext> ctx_;
+  std::size_t k_ = 0;          // modulus limbs
+  std::size_t mod_bytes_ = 0;  // signature / EM length
+  limb64::Limb e_ = 0;         // public exponent (<= 64 bits)
+  std::size_t e_bits_ = 0;
+
+  // Working state (member, not stack, so verify() stays cheap to call in
+  // a loop and the arrays are sized once against the protocol ceiling).
+  limb64::Limb base_[limb64::kMaxProtocolLimbs];
+  limb64::Limb acc_[limb64::kMaxProtocolLimbs];
+  limb64::Limb t_[limb64::kMaxProtocolLimbs + 2];
+  std::uint8_t em_[limb64::kMaxProtocolBytes];
+  std::uint8_t expected_[limb64::kMaxProtocolBytes];
 };
 
 }  // namespace alidrone::crypto

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "crypto/random.h"
-#include "runtime/latch.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
@@ -60,7 +60,7 @@ TEST(ThreadPool, WorkerIndexAndRngAreWorkerLocal) {
   std::mutex mu;
   std::set<int> indices;
   std::vector<std::future<void>> futures;
-  Latch gate(3);
+  std::latch gate(3);
   for (int i = 0; i < 3; ++i) {
     futures.push_back(pool.submit([&] {
       // Hold every worker at the gate so all three indices are observed.
@@ -128,34 +128,6 @@ TEST(ParallelFor, PropagatesFirstException) {
   EXPECT_LE(snapshot, 100);
   pool.submit([] {}).get();
   EXPECT_EQ(ran.load(), snapshot);
-}
-
-TEST(Latch, CountDownReleasesWaiters) {
-  Latch latch(2);
-  EXPECT_FALSE(latch.try_wait());
-  latch.count_down();
-  EXPECT_FALSE(latch.try_wait());
-  latch.count_down();
-  EXPECT_TRUE(latch.try_wait());
-  latch.wait();  // must not block once the count is zero
-}
-
-TEST(Latch, BlocksAcrossThreads) {
-  Latch latch(3);
-  ThreadPool pool(3);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(pool.submit([&latch] { latch.count_down(); }));
-  }
-  latch.wait();
-  for (auto& f : futures) f.get();
-  EXPECT_TRUE(latch.try_wait());
-}
-
-TEST(Latch, RejectsOverDecrement) {
-  Latch latch(1);
-  EXPECT_THROW(latch.count_down(2), std::invalid_argument);
-  EXPECT_THROW(Latch(-1), std::invalid_argument);
 }
 
 }  // namespace
